@@ -3,10 +3,13 @@
 //! across MRE verification, refinement, granularity repair, grouping and
 //! family validation).
 //!
-//! Keys are *interned content strings*: a record is keyed by its tag-forest
-//! signature plus the (type, position, attrs) encoding of its lines — the
-//! exact inputs of `Drec` — so two records with identical rendered content
-//! share one entry even across pages. The memo itself is symmetric
+//! Keys are *interned id sequences* (hash-consing): a DOM subtree is the
+//! sequence of its label and its children's ids, a line is its (type,
+//! position, attribute-set id), and a record is its forest-root ids plus
+//! its line ids — the exact inputs of `Drec` — so two records with
+//! identical rendered content share one entry even across pages (see
+//! `features::PageIds`). Every sequence starts with a kind tag, so ids of
+//! different kinds never share a memo slot. The memo itself is symmetric
 //! (`(a, b)` and `(b, a)` hit the same slot) and safe to share across the
 //! worker threads of one build (`RwLock` tables, atomic hit/miss counters).
 //!
@@ -15,7 +18,9 @@
 //! encode. The pipeline creates one cache per build and drops it with the
 //! build, which enforces this by construction.
 
+use mse_render::LineAttrs;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -29,11 +34,13 @@ enum Memo {
     GreaterThan(f64),
 }
 
-/// Symmetric pair-distance memo with interned string keys.
+/// Symmetric pair-distance memo with interned keys.
 #[derive(Debug)]
 pub struct DistanceCache {
     enabled: bool,
     keys: RwLock<HashMap<String, u32>>,
+    ids: RwLock<HashMap<Vec<u32>, u32>>,
+    attrs: RwLock<HashMap<LineAttrs, u32>>,
     pairs: RwLock<HashMap<(u32, u32), Memo>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -44,6 +51,8 @@ impl DistanceCache {
         DistanceCache {
             enabled,
             keys: RwLock::new(HashMap::new()),
+            ids: RwLock::new(HashMap::new()),
+            attrs: RwLock::new(HashMap::new()),
             pairs: RwLock::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -65,12 +74,20 @@ impl DistanceCache {
     /// only caches pure distance computations, so a writer that panicked
     /// mid-insert leaves at worst a missing entry, never a wrong one.
     pub fn intern(&self, key: &str) -> u32 {
-        if let Some(&id) = self.keys.read().unwrap_or_else(|p| p.into_inner()).get(key) {
-            return id;
-        }
-        let mut keys = self.keys.write().unwrap_or_else(|p| p.into_inner());
-        let next = keys.len() as u32;
-        *keys.entry(key.to_string()).or_insert(next)
+        intern_in(&self.keys, key)
+    }
+
+    /// Intern a sequence of ids: equal sequences get equal ids, so ids
+    /// built from ids (a subtree from its children's) compare structure
+    /// exactly, with no hash collisions. Ids are stable within this cache
+    /// and separate from [`intern`](Self::intern)'s.
+    pub fn intern_ids(&self, seq: &[u32]) -> u32 {
+        intern_in(&self.ids, seq)
+    }
+
+    /// Intern a line's text-attribute set (the `Dbta` input).
+    pub fn intern_attrs(&self, attrs: &LineAttrs) -> u32 {
+        intern_in(&self.attrs, attrs)
     }
 
     /// Memoized exact distance for an unordered pair.
@@ -148,6 +165,22 @@ impl DistanceCache {
     }
 }
 
+/// Look `key` up in one intern table, inserting it with the next id
+/// (the table's length) when absent. Poisoning is recovered from, as in
+/// [`DistanceCache::intern`].
+fn intern_in<K, Q>(table: &RwLock<HashMap<K, u32>>, key: &Q) -> u32
+where
+    K: std::borrow::Borrow<Q> + Eq + Hash,
+    Q: ToOwned<Owned = K> + Eq + Hash + ?Sized,
+{
+    if let Some(&id) = table.read().unwrap_or_else(|p| p.into_inner()).get(key) {
+        return id;
+    }
+    let mut table = table.write().unwrap_or_else(|p| p.into_inner());
+    let next = table.len() as u32;
+    *table.entry(key.to_owned()).or_insert(next)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,6 +193,18 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(c.intern("alpha"), a);
         assert_eq!(c.intern("beta"), b);
+    }
+
+    #[test]
+    fn id_sequences_intern_exactly() {
+        let c = DistanceCache::new(true);
+        let a = c.intern_ids(&[0, 7, 1]);
+        assert_eq!(c.intern_ids(&[0, 7, 1]), a);
+        assert_ne!(c.intern_ids(&[0, 7]), a);
+        assert_ne!(c.intern_ids(&[0, 1, 7]), a);
+        let attrs = LineAttrs::new();
+        let e = c.intern_attrs(&attrs);
+        assert_eq!(c.intern_attrs(&LineAttrs::new()), e);
     }
 
     #[test]

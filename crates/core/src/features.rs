@@ -5,11 +5,11 @@
 use crate::cache::DistanceCache;
 use crate::config::MseConfig;
 use crate::page::Page;
+use mse_dom::NodeId;
 use mse_render::block::{dbp, dbs, dbt, dbta};
 use mse_treedit::{forest_distance, forest_distance_bounded, TagTree};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// A record: a half-open range of content lines on one page.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -37,6 +37,122 @@ impl Rec {
     }
 }
 
+/// Kind tags leading every interned id sequence, so ids of different
+/// kinds never compare equal (record and forest ids share the pair memo).
+const TREE: u32 = 0;
+const LINE: u32 = 1;
+const RECORD: u32 = 2;
+const FOREST: u32 = 3;
+/// Not yet interned.
+const UNSET: u32 = u32::MAX;
+
+/// Per-page memo of interned structure ids (hash-consing in a
+/// [`DistanceCache`]): one per DOM node, for the tag tree of its subtree
+/// (`TREE`, its label, its kept children's ids — the exact shape
+/// [`TagTree::from_dom`] lifts), and one per content line, for the
+/// (type, position, attrs) that `Dbt`, `Dbs`, `Dbp` and `Dbta` read. Equal
+/// ids mean equal inputs across all pages of one cache.
+pub(crate) struct PageIds {
+    nodes: Vec<u32>,
+    lines: Vec<u32>,
+    stack: Vec<(NodeId, bool)>,
+    seq: Vec<u32>,
+}
+
+impl PageIds {
+    pub(crate) fn new(page: &Page) -> PageIds {
+        PageIds {
+            nodes: vec![UNSET; page.rp.dom.len()],
+            lines: vec![UNSET; page.n_lines()],
+            stack: Vec::new(),
+            seq: Vec::new(),
+        }
+    }
+
+    /// The id of `root`'s tag tree: an iterative post-order pass interning
+    /// each not-yet-seen node after its children.
+    fn node(&mut self, cache: &DistanceCache, page: &Page, root: NodeId) -> u32 {
+        let (dom, labels) = (&page.rp.dom, &page.rp.sigs.labels);
+        let kept = |c: NodeId| labels.get(c.index()).is_some_and(|l| !l.is_none());
+        self.stack.clear();
+        self.stack.push((root, false));
+        while let Some((n, children_done)) = self.stack.pop() {
+            if self.nodes[n.index()] != UNSET {
+                continue;
+            }
+            if !children_done {
+                self.stack.push((n, true));
+                self.stack
+                    .extend(dom.children(n).filter(|&c| kept(c)).map(|c| (c, false)));
+                continue;
+            }
+            self.seq.clear();
+            self.seq.extend([TREE, labels[n.index()].0]);
+            let nodes = &self.nodes;
+            self.seq.extend(
+                dom.children(n)
+                    .filter(|&c| kept(c))
+                    .map(|c| nodes[c.index()]),
+            );
+            self.nodes[n.index()] = cache.intern_ids(&self.seq);
+        }
+        self.nodes[root.index()]
+    }
+
+    fn line(&mut self, cache: &DistanceCache, page: &Page, l: usize) -> u32 {
+        if self.lines[l] == UNSET {
+            let line = &page.rp.lines[l];
+            let attrs = cache.intern_attrs(&line.attrs);
+            // `pos as u32` keeps the bit pattern, so distinct positions stay distinct.
+            self.lines[l] =
+                cache.intern_ids(&[LINE, line.ltype.code() as u32, line.pos as u32, attrs]);
+        }
+        self.lines[l]
+    }
+
+    /// Push the ids of the kept forest roots (those [`forest_of`] lifts).
+    /// No count is needed before the line ids that may follow: tree and
+    /// line ids come from one table under different kind tags, so they
+    /// never coincide.
+    fn push_roots(
+        &mut self,
+        cache: &DistanceCache,
+        page: &Page,
+        roots: &[NodeId],
+        out: &mut Vec<u32>,
+    ) {
+        let labels = &page.rp.sigs.labels;
+        for &r in roots {
+            if labels.get(r.index()).is_some_and(|l| !l.is_none()) {
+                out.push(self.node(cache, page, r));
+            }
+        }
+    }
+
+    /// The id of a tag forest given by its root nodes: the key of the
+    /// cross-page `Dtf` term in grouping.
+    pub(crate) fn forest(&mut self, cache: &DistanceCache, page: &Page, roots: &[NodeId]) -> u32 {
+        let mut seq = vec![FOREST];
+        self.push_roots(cache, page, roots, &mut seq);
+        cache.intern_ids(&seq)
+    }
+
+    /// The id of a record: its forest-root ids, then its line ids.
+    fn record(&mut self, cache: &DistanceCache, page: &Page, r: Rec) -> u32 {
+        let mut seq = vec![RECORD];
+        self.push_roots(
+            cache,
+            page,
+            &page.rp.forest_of_range(r.start, r.end),
+            &mut seq,
+        );
+        for l in r.start..r.end {
+            seq.push(self.line(cache, page, l));
+        }
+        cache.intern_ids(&seq)
+    }
+}
+
 /// Feature calculator with a per-page tag-forest cache (forest lifting is
 /// the expensive part of `Drec`) and an optional shared [`DistanceCache`]
 /// memoizing record-pair distances across pages and `Features` instances.
@@ -45,6 +161,7 @@ pub struct Features<'a> {
     pub cfg: &'a MseConfig,
     cache: Option<&'a DistanceCache>,
     forests: HashMap<(usize, usize), Vec<TagTree>>,
+    ids: Option<PageIds>,
     keys: HashMap<(usize, usize), u32>,
     divs: HashMap<(usize, usize), f64>,
 }
@@ -56,6 +173,7 @@ impl<'a> Features<'a> {
             cfg,
             cache: None,
             forests: HashMap::new(),
+            ids: None,
             keys: HashMap::new(),
             divs: HashMap::new(),
         }
@@ -82,22 +200,19 @@ impl<'a> Features<'a> {
         }
     }
 
-    /// The record's interned content key: its tag-forest signature plus
-    /// the (type, position, attrs) encoding of its lines — exactly the
-    /// inputs of `Drec`, so equal keys imply equal distances.
+    /// The record's interned content key (see [`PageIds`]): its tag-forest
+    /// root ids plus its line ids — exactly the inputs of `Drec`, so equal
+    /// keys imply equal distances. The tag forest itself is lifted only if
+    /// the memo misses.
     fn rec_key(&mut self, cache: &DistanceCache, r: Rec) -> u32 {
         if let Some(&k) = self.keys.get(&(r.start, r.end)) {
             return k;
         }
-        self.ensure_forest(r);
-        let mut s = String::from("R|");
-        for t in &self.forests[&(r.start, r.end)] {
-            s.push_str(&t.signature());
-        }
-        for l in &self.page.rp.lines[r.start..r.end] {
-            let _ = write!(s, "|{:?},{},{:?}", l.ltype, l.pos, l.attrs);
-        }
-        let k = cache.intern(&s);
+        let page = self.page;
+        let k = self
+            .ids
+            .get_or_insert_with(|| PageIds::new(page))
+            .record(cache, page, r);
         self.keys.insert((r.start, r.end), k);
         k
     }
@@ -378,6 +493,52 @@ mod tests {
             c_correct > c_merged && c_correct > c_shredded,
             "correct={c_correct} merged={c_merged} shredded={c_shredded}"
         );
+    }
+
+    /// Record keys encode `Drec`'s inputs exactly, across pages sharing
+    /// one cache: equal keys ⇔ equal tag forests and equal (type,
+    /// position, attrs) line sequences. A key coarser than its inputs
+    /// would let the memo answer one record pair with another's distance.
+    #[test]
+    fn record_keys_encode_drec_inputs_exactly() {
+        type Inputs = (
+            Vec<TagTree>,
+            Vec<(mse_render::LineType, i32, mse_render::LineAttrs)>,
+        );
+        let mut pages: Vec<Page> = (0..3)
+            .flat_map(|engine| {
+                let spec = mse_testbed::EngineSpec::generate(2006, engine);
+                (0..2).map(move |q| spec.page(q))
+            })
+            .map(|g| Page::from_html(&g.html, Some(&g.query)))
+            .collect();
+        // Records that differ only in a tag name, or only in position.
+        pages.push(page(concat!(
+            "<body><div>a</div><p>b</p><div>c</div><h6>d</h6>",
+            "<ul><li>e</li></ul><div><div>f</div></div></body>"
+        )));
+        let cache = DistanceCache::new(true);
+        let mut by_key: HashMap<u32, Inputs> = HashMap::new();
+        let mut by_inputs: HashMap<String, u32> = HashMap::new();
+        for p in &pages {
+            let mut ids = PageIds::new(p);
+            for start in 0..p.n_lines() {
+                for end in start + 1..(start + 5).min(p.n_lines() + 1) {
+                    let key = ids.record(&cache, p, Rec::new(start, end));
+                    let inputs: Inputs = (
+                        p.forest(start, end),
+                        p.rp.lines[start..end]
+                            .iter()
+                            .map(|l| (l.ltype, l.pos, l.attrs.clone()))
+                            .collect(),
+                    );
+                    let text = format!("{inputs:?}");
+                    assert_eq!(*by_inputs.entry(text).or_insert(key), key);
+                    assert_eq!(*by_key.entry(key).or_insert_with(|| inputs.clone()), inputs);
+                }
+            }
+        }
+        assert!(by_key.len() > 100, "only {} distinct records", by_key.len());
     }
 
     #[test]

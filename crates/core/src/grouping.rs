@@ -11,14 +11,14 @@
 
 use crate::cache::DistanceCache;
 use crate::config::MseConfig;
-use crate::features::Rec;
+use crate::features::{PageIds, Rec};
 use crate::mre::common_parent;
 use crate::page::Page;
 use crate::section::SectionInst;
 use mse_algos::{cliques_of_size, stable_marriage};
 use mse_dom::CompactTagPath;
 use mse_render::block::{dbt, dbta};
-use mse_treedit::forest_distance;
+use mse_treedit::{forest_distance, forest_of};
 
 /// Reference to one section instance: (page index, section index).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -124,17 +124,6 @@ pub fn match_score(
     match_score_cached(cfg, pa, sa, pb, sb, &DistanceCache::disabled())
 }
 
-/// Interned cache key of a record's tag forest (the input of the
-/// cross-page `dtf` term in [`match_score`]).
-fn forest_key(cache: &DistanceCache, forest: &[mse_treedit::TagTree]) -> u32 {
-    let mut s = String::from("F|");
-    for t in forest {
-        s.push_str(&t.signature());
-        s.push(';');
-    }
-    cache.intern(&s)
-}
-
 /// Per-instance inputs of [`match_score`] that do not depend on the
 /// partner instance — the container path and the first record's tag
 /// forest. The optimized engine computes these once per instance instead
@@ -142,18 +131,23 @@ fn forest_key(cache: &DistanceCache, forest: &[mse_treedit::TagTree]) -> u32 {
 struct InstanceCtx {
     path: Option<CompactTagPath>,
     forest: Option<Vec<mse_treedit::TagTree>>,
+    /// Interned id of `forest` (the cross-page `dtf` memo key), keyed by
+    /// the same root ids as `Drec`'s record keys.
     forest_id: Option<u32>,
 }
 
 fn instance_ctx(page: &Page, sec: &SectionInst, cache: &DistanceCache) -> InstanceCtx {
-    let forest = sec.records.first().map(|r| page.forest(r.start, r.end));
-    let forest_id = match (&forest, cache.enabled()) {
-        (Some(f), true) => Some(forest_key(cache, f)),
+    let roots = sec
+        .records
+        .first()
+        .map(|r| page.rp.forest_of_range(r.start, r.end));
+    let forest_id = match &roots {
+        Some(roots) if cache.enabled() => Some(PageIds::new(page).forest(cache, page, roots)),
         _ => None,
     };
     InstanceCtx {
         path: container_path(page, sec),
-        forest,
+        forest: roots.map(|roots| forest_of(&page.rp.dom, &roots)),
         forest_id,
     }
 }

@@ -63,6 +63,13 @@ impl IngestScratch {
         )
     }
 
+    /// Heap bytes retained by the pooled attribute vectors (see
+    /// [`mse_dom::ParseScratch::attr_pool_bytes`]). A long-lived worker's
+    /// scratch must keep this bounded whatever mix of pages it ingests.
+    pub fn attr_pool_bytes(&self) -> usize {
+        self.parse.attr_pool_bytes()
+    }
+
     /// Take a consumed page apart and pool its buffers for the next
     /// ingest: DOM node arena and label table back to the parse scratch,
     /// content lines to the render donor pool, signature vectors to the

@@ -327,13 +327,19 @@ impl Mse {
         }
 
         // Order wrappers by their earliest appearance (section order on the
-        // result page schema, §2).
-        wrappers.sort_by_key(|w| {
-            w.pref
+        // result page schema, §2): each container path step's first sibling
+        // index, capped at 63, is one digit of a base-64 number. The numbers
+        // are compared as digit sequences — leading zeros dropped, then
+        // length, then digits — so deep paths cannot overflow.
+        wrappers.sort_by_cached_key(|w| {
+            let digits: Vec<usize> = w
+                .pref
                 .steps
                 .iter()
-                .map(|s| s.min_s)
-                .fold(0usize, |acc, s| acc * 64 + s.min(63))
+                .map(|s| s.min_s.min(63))
+                .skip_while(|&d| d == 0)
+                .collect();
+            (digits.len(), digits)
         });
 
         let (families, absorbed) = if self.cfg.enable_families {

@@ -193,6 +193,20 @@ impl ParseScratch {
         self.attrs.len()
     }
 
+    /// Heap bytes the attribute pool retains: each pooled vector's slot
+    /// storage plus the name and value strings of its (stale) entries.
+    pub fn attr_pool_bytes(&self) -> usize {
+        self.attrs
+            .iter()
+            .map(|v| {
+                v.capacity() * std::mem::size_of::<Attr>()
+                    + v.iter()
+                        .map(|a| a.name.capacity() + a.value.capacity())
+                        .sum::<usize>()
+            })
+            .sum()
+    }
+
     /// Number of pooled text strings (steady-state reuse probe).
     pub fn text_pool_len(&self) -> usize {
         self.texts.len()

@@ -369,10 +369,6 @@ pub struct Lexer<'a> {
     /// `ParseScratch` through [`Lexer::set_attr_pool`]; empty by default,
     /// in which case every start tag allocates fresh like before.
     attr_pool: Vec<Vec<Attr>>,
-    /// Individual recycled `Attr` slots parked here when a start tag used
-    /// fewer attributes than its pooled vector held; the next tag that
-    /// needs to grow its vector draws from these before allocating.
-    spare_attrs: Vec<Attr>,
 }
 
 impl<'a> Lexer<'a> {
@@ -383,7 +379,6 @@ impl<'a> Lexer<'a> {
             pos: 0,
             rawtext: None,
             attr_pool: Vec::new(),
-            spare_attrs: Vec::new(),
         }
     }
 
@@ -393,16 +388,9 @@ impl<'a> Lexer<'a> {
         self.attr_pool = pool;
     }
 
-    /// Hand the (remaining) attribute pool back to its owner. Parked spare
-    /// slots ride along as one more pooled vector, so their string storage
-    /// survives into the next parse.
+    /// Hand the (remaining) attribute pool back to its owner.
     pub fn take_attr_pool(&mut self) -> Vec<Vec<Attr>> {
-        let mut pool = std::mem::take(&mut self.attr_pool);
-        let spare = std::mem::take(&mut self.spare_attrs);
-        if spare.capacity() > 0 {
-            pool.push(spare);
-        }
-        pool
+        std::mem::take(&mut self.attr_pool)
     }
 
     // mse:hot begin(lex-dispatch)
@@ -596,13 +584,10 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
-        // Park unused slots in the spare list (their strings stay reusable)
-        // instead of dropping them with `truncate`.
-        while attrs.len() > used {
-            if let Some(a) = attrs.pop() {
-                self.spare_attrs.push(a);
-            }
-        }
+        // Drop the slots this tag did not use rather than keep them for
+        // later tags: only the pooled vectors themselves are bounded, so
+        // any slot kept outside them grows a long-lived scratch.
+        attrs.truncate(used);
         self.pos = i;
         if !self_closing {
             // Canonical lowercase names: no allocation to enter raw-text
@@ -641,13 +626,12 @@ impl<'a> Lexer<'a> {
             return i + 1;
         }
         if *used == attrs.len() {
-            // Draw a parked slot (string capacity intact) before minting one.
-            attrs.push(self.spare_attrs.pop().unwrap_or_else(|| Attr {
+            attrs.push(Attr {
                 // mse:allow(alloc): empty string; capacity arrives on write
                 name: String::new(),
                 // mse:allow(alloc): empty string; capacity arrives on write
                 value: String::new(),
-            }));
+            });
         }
         let slot = &mut attrs[*used];
         *used += 1;

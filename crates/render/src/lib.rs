@@ -39,5 +39,5 @@ pub use layout::{
     LineScratch,
 };
 pub use line::{dpl, dtl, ContentLine, LineType, POSITION_K};
-pub use page::{cover_forest, render, PageSigs, RenderedPage, SigScratch};
+pub use page::{render, PageSigs, RenderedPage, SigScratch};
 pub use style::{dtal, FontStyle, LineAttrs, TextAttr};

@@ -1,11 +1,10 @@
 //! A rendered page: the DOM plus its content-line sequence, and the
-//! leaf-cover → tag-forest lifting used to attach tag structure to blocks.
+//! line-range → tag-forest lifting used to attach tag structure to blocks.
 
 use crate::layout::render_lines;
 use crate::line::ContentLine;
 use mse_dom::intern::{self, Symbol};
 use mse_dom::{Dom, NodeId, NodeKind};
-use std::collections::HashSet;
 
 /// Precomputed per-node / per-line signatures for the extraction serving
 /// path (see DESIGN.md §11).
@@ -232,18 +231,39 @@ impl RenderedPage {
         RenderedPage::assemble(dom, lines)
     }
 
-    /// All viewable leaves covered by the line range `[start, end)`.
-    pub fn leaves_of_range(&self, start: usize, end: usize) -> Vec<NodeId> {
-        self.lines[start..end]
-            .iter()
-            .flat_map(|l| l.leaves.iter().copied())
-            .collect()
-    }
-
-    /// The tag forest (maximal covered DOM nodes) for the line range
-    /// `[start, end)` — the record's "underneath tag structure" (paper §4.1).
+    /// The tag forest of the line range `[start, end)`: the maximal DOM
+    /// nodes whose rendered leaves all lie in those lines — the record's
+    /// "underneath tag structure" (paper §4.1).
+    ///
+    /// Each leaf of the range climbs while its parent's line span stays
+    /// inside the range, never onto the document scaffolding (a record is
+    /// always strictly inside `<body>`). Line leaves arrive in document
+    /// order and each climb ends at the top of a disjoint subtree, so the
+    /// leaves under one top are consecutive and the tops come out in
+    /// document order. A node the renderer never puts in a line (a hidden
+    /// `<input>`, a `<script>`) has no span, so it does not block the climb.
     pub fn forest_of_range(&self, start: usize, end: usize) -> Vec<NodeId> {
-        cover_forest(&self.dom, &self.leaves_of_range(start, end))
+        let inside = |n: NodeId| {
+            self.sigs
+                .span(n)
+                .is_some_and(|(s, e)| s >= start && e <= end)
+        };
+        let mut out: Vec<NodeId> = Vec::new();
+        for line in self.lines.get(start..end).unwrap_or_default() {
+            for &leaf in &line.leaves {
+                let mut top = leaf;
+                while let Some(parent) = self.dom[top].parent {
+                    if is_scaffolding(&self.dom, parent) || !inside(parent) {
+                        break;
+                    }
+                    top = parent;
+                }
+                if out.last() != Some(&top) {
+                    out.push(top);
+                }
+            }
+        }
+        out
     }
 }
 
@@ -253,80 +273,10 @@ pub fn render(dom: Dom) -> RenderedPage {
     RenderedPage::assemble(dom, lines)
 }
 
-/// Is this node a viewable leaf (the units content lines are made of)?
-fn is_viewable_leaf(dom: &Dom, n: NodeId) -> bool {
-    match &dom[n].kind {
-        NodeKind::Text(t) => !t.trim().is_empty(),
-        NodeKind::Element { tag, .. } => matches!(
-            *tag,
-            "img" | "input" | "select" | "textarea" | "button" | "hr"
-        ),
-        _ => false,
-    }
-}
-
-/// Given a set of viewable leaves, compute the *cover forest*: the maximal
-/// DOM nodes all of whose viewable leaves belong to the set (and that
-/// contain at least one). This is how a block of content lines is lifted to
-/// the sub-forest the paper manipulates (records are sub-forests of the
-/// section's minimum subtree, §4.1).
-pub fn cover_forest(dom: &Dom, leaves: &[NodeId]) -> Vec<NodeId> {
-    let set: HashSet<NodeId> = leaves.iter().copied().collect();
-    if set.is_empty() {
-        return vec![];
-    }
-    let mut out = Vec::new();
-    collect_cover(dom, dom.root(), &set, &mut out, 0);
-    out
-}
-
-/// Recursion guard matching [`crate::layout`]'s: parsed DOMs are
-/// depth-clamped, so this only protects against hand-built deep trees.
-const MAX_COVER_DEPTH: usize = 1024;
-
-/// Returns (covered, has_leaf): `covered` = every viewable leaf in this
-/// subtree is in the set; `has_leaf` = the subtree has at least one
-/// viewable leaf. Appends maximal covered nodes to `out` in document order.
-fn cover_info(dom: &Dom, n: NodeId, set: &HashSet<NodeId>, depth: usize) -> (bool, bool) {
-    if is_viewable_leaf(dom, n) {
-        return (set.contains(&n), true);
-    }
-    if depth > MAX_COVER_DEPTH {
-        // Content below the guard is invisible to layout too; treat it as
-        // leafless rather than overflowing the stack.
-        return (true, false);
-    }
-    let mut covered = true;
-    let mut has_leaf = false;
-    for c in dom.children(n) {
-        let (cc, cl) = cover_info(dom, c, set, depth + 1);
-        covered &= cc || !cl;
-        has_leaf |= cl;
-    }
-    (covered, has_leaf)
-}
-
-fn collect_cover(dom: &Dom, n: NodeId, set: &HashSet<NodeId>, out: &mut Vec<NodeId>, depth: usize) {
-    if depth > MAX_COVER_DEPTH {
-        return;
-    }
-    // The document scaffolding can never be a forest member — a record is
-    // always strictly inside <body>.
-    let scaffolding = matches!(&dom[n].kind, NodeKind::Document)
-        || matches!(dom[n].tag(), Some("html") | Some("head") | Some("body"));
-    if !scaffolding {
-        let (covered, has_leaf) = cover_info(dom, n, set, depth);
-        if covered && has_leaf {
-            out.push(n);
-            return;
-        }
-        if !has_leaf {
-            return;
-        }
-    }
-    for c in dom.children(n).collect::<Vec<_>>() {
-        collect_cover(dom, c, set, out, depth + 1);
-    }
+/// The document node and `<html>`/`<head>`/`<body>`: never a forest member.
+fn is_scaffolding(dom: &Dom, n: NodeId) -> bool {
+    matches!(dom[n].kind, NodeKind::Document)
+        || matches!(dom[n].tag(), Some("html" | "head" | "body"))
 }
 
 #[cfg(test)]
@@ -340,11 +290,11 @@ mod tests {
     }
 
     #[test]
-    fn cover_forest_lifts_to_containers() {
+    fn forest_of_range_lifts_to_containers() {
         let p = RenderedPage::from_html(
             "<body><div><a href=1>t</a><br>snip</div><div>other</div></body>",
         );
-        // Lines 0-1 are the first record: its cover forest is the first div.
+        // Lines 0-1 are the first record: its forest is the first div.
         let forest = p.forest_of_range(0, 2);
         assert_eq!(forest.len(), 1);
         assert_eq!(p.dom[forest[0]].tag(), Some("div"));
@@ -352,7 +302,7 @@ mod tests {
     }
 
     #[test]
-    fn cover_forest_partial_container_returns_leaves() {
+    fn forest_of_range_partial_container_returns_leaves() {
         let p = RenderedPage::from_html("<body><div>a<br>b<br>c</div></body>");
         // Only the first line: div is NOT fully covered → forest is the text leaf.
         let forest = p.forest_of_range(0, 1);
@@ -361,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn cover_forest_multiple_siblings() {
+    fn forest_of_range_multiple_siblings() {
         let p = RenderedPage::from_html(
             "<body><ul><li>a</li><li>b</li><li>c</li></ul><p>after</p></body>",
         );
@@ -376,9 +326,12 @@ mod tests {
     }
 
     #[test]
-    fn cover_forest_empty() {
+    fn forest_of_range_empty() {
         let p = RenderedPage::from_html("<body><p>x</p></body>");
-        assert!(cover_forest(&p.dom, &[]).is_empty());
+        assert!(p.forest_of_range(0, 0).is_empty());
+        assert!(p.forest_of_range(1, 1).is_empty());
+        // A range past the last line lifts nothing rather than panicking.
+        assert!(p.forest_of_range(0, 5).is_empty());
     }
 
     #[test]
@@ -392,5 +345,24 @@ mod tests {
         let forest = p.forest_of_range(0, n);
         assert_eq!(forest.len(), 1);
         assert_eq!(p.dom[forest[0]].tag(), Some("table"));
+    }
+
+    #[test]
+    fn unrendered_leaves_do_not_block_cover() {
+        // The renderer puts neither the hidden input nor the script in any
+        // content line, so they have no line span and do not block the
+        // climb: each record still lifts to its <div>.
+        let p = RenderedPage::from_html(concat!(
+            "<body><div><a href=1>t</a><input type=hidden name=q value=v><br>s</div>",
+            "<div><a href=2>u</a><script>var x = 1;</script><br>w</div></body>"
+        ));
+        assert_eq!(p.lines.len(), 4);
+        let divs: Vec<NodeId> = p
+            .dom
+            .preorder(p.dom.root())
+            .filter(|&n| p.dom[n].tag() == Some("div"))
+            .collect();
+        assert_eq!(p.forest_of_range(0, 2), vec![divs[0]]);
+        assert_eq!(p.forest_of_range(2, 4), vec![divs[1]]);
     }
 }

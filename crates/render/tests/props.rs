@@ -3,8 +3,10 @@
 
 #[allow(unused_imports)]
 use mse_dom::parse;
+use mse_dom::{NodeId, NodeKind};
 use mse_render::{render_lines, LineType, RenderedPage};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn html_fragment() -> impl Strategy<Value = String> {
     prop_oneof![
@@ -32,6 +34,18 @@ fn html_fragment() -> impl Strategy<Value = String> {
 
 fn html_doc() -> impl Strategy<Value = String> {
     proptest::collection::vec(html_fragment(), 0..28).prop_map(|v| v.concat())
+}
+
+/// [`html_doc`] plus content the renderer never puts in a line: a hidden
+/// input, a script, and an option's text inside a select.
+fn forest_doc() -> impl Strategy<Value = String> {
+    let fragment = prop_oneof![
+        html_fragment(),
+        Just("<input type=hidden name=h value=v>".to_string()),
+        Just("<script>var s = 1;</script>".to_string()),
+        Just("<select><option>o</option></select>".to_string()),
+    ];
+    proptest::collection::vec(fragment, 0..28).prop_map(|v| v.concat())
 }
 
 proptest! {
@@ -119,22 +133,60 @@ proptest! {
         }
     }
 
-    /// forest_of_range always returns nodes covering exactly the requested
-    /// lines' leaves.
+    /// `forest_of_range` returns the paper's §4.1 tag forest of any line
+    /// range `[s, e)`, checked against the definition itself: each node's
+    /// rendered leaves (members of some `line.leaves`) all lie in the range
+    /// and its parent's do not (or the parent is scaffolding), the nodes
+    /// are disjoint and in document order, and every rendered leaf of the
+    /// range lies at or under exactly one of them. The page mix includes
+    /// leaves the renderer never puts in a line.
     #[test]
-    fn forest_covers_range(doc in html_doc()) {
+    fn forest_covers_range(doc in forest_doc(), a in 0usize..64, b in 0usize..64) {
         let page = RenderedPage::from_html(&doc);
+        let dom = &page.dom;
         let n = page.lines.len();
         if n == 0 {
             return Ok(());
         }
-        let forest = page.forest_of_range(0, n);
-        for line in &page.lines {
+        let (s, e) = {
+            let (x, y) = (a % n, b % n);
+            (x.min(y), x.max(y) + 1)
+        };
+        let line_of: HashMap<NodeId, usize> = page
+            .lines
+            .iter()
+            .enumerate()
+            .flat_map(|(i, l)| l.leaves.iter().map(move |&leaf| (leaf, i)))
+            .collect();
+        let leaf_lines = |node: NodeId| -> Vec<usize> {
+            dom.preorder(node).filter_map(|m| line_of.get(&m).copied()).collect()
+        };
+        let order: HashMap<NodeId, usize> =
+            dom.preorder(dom.root()).enumerate().map(|(i, m)| (m, i)).collect();
+        let forest = page.forest_of_range(s, e);
+        for &f in &forest {
+            let lines = leaf_lines(f);
+            prop_assert!(!lines.is_empty(), "forest node without a rendered leaf");
+            prop_assert!(
+                lines.iter().all(|l| (s..e).contains(l)),
+                "forest node has a leaf outside [{s}, {e})"
+            );
+            let parent = dom[f].parent.expect("a forest node is never the root");
+            let scaffolding = matches!(dom[parent].kind, NodeKind::Document)
+                || matches!(dom[parent].tag(), Some("html" | "head" | "body"));
+            prop_assert!(
+                scaffolding || leaf_lines(parent).iter().any(|l| !(s..e).contains(l)),
+                "forest node is not maximal: its parent lies inside [{s}, {e})"
+            );
+        }
+        for w in forest.windows(2) {
+            prop_assert!(order[&w[0]] < order[&w[1]], "forest out of document order");
+            prop_assert!(!dom.is_ancestor(w[0], w[1]), "forest nodes overlap");
+        }
+        for line in &page.lines[s..e] {
             for &leaf in &line.leaves {
-                prop_assert!(
-                    forest.iter().any(|&f| f == leaf || page.dom.is_ancestor(f, leaf)),
-                    "leaf not covered by forest"
-                );
+                let holders = forest.iter().filter(|&&f| dom.is_ancestor(f, leaf)).count();
+                prop_assert_eq!(holders, 1, "leaf covered by {} forest nodes", holders);
             }
         }
     }

@@ -79,32 +79,6 @@ impl TagTree {
     pub fn root_label(&self) -> &str {
         &self.labels[0]
     }
-
-    /// Depth-first "shape signature" — handy for hashing / grouping.
-    /// Iterative (explicit stack) so arbitrarily deep trees cannot
-    /// overflow the call stack.
-    pub fn signature(&self) -> String {
-        enum Step {
-            Open(usize),
-            Close,
-        }
-        let mut out = String::new();
-        let mut stack = vec![Step::Open(0)];
-        while let Some(step) = stack.pop() {
-            match step {
-                Step::Open(idx) => {
-                    out.push('(');
-                    out.push_str(&self.labels[idx]);
-                    stack.push(Step::Close);
-                    for &c in self.children[idx].iter().rev() {
-                        stack.push(Step::Open(c));
-                    }
-                }
-                Step::Close => out.push(')'),
-            }
-        }
-        out
-    }
 }
 
 /// Depth cap for [`TagTree::from_dom`]; nodes at the cap become leaves.
@@ -177,13 +151,15 @@ mod tests {
     fn from_dom_includes_text_leaves() {
         let t = tree_of("<body><td><a href=x>t</a><br>s</td></body>", "td");
         assert_eq!(t.root_label(), "td");
-        assert_eq!(t.signature(), "(td(a(#text))(br)(#text))");
+        assert_eq!(t.labels, ["td", "a", "#text", "br", "#text"]);
+        assert_eq!(t.children, [vec![1, 3, 4], vec![2], vec![], vec![], vec![]]);
     }
 
     #[test]
     fn whitespace_text_skipped() {
         let t = tree_of("<body><div>  \n  <p>x</p>  </div></body>", "div");
-        assert_eq!(t.signature(), "(div(p(#text)))");
+        assert_eq!(t.labels, ["div", "p", "#text"]);
+        assert_eq!(t.children, [vec![1], vec![2], vec![]]);
     }
 
     #[test]

@@ -4,19 +4,43 @@
 //! off — the optimized engine is only allowed to skip work whose result is
 //! provably unused, never to change a result.
 
+mod common;
+
+use common::nest_body;
 use mse::core::{DistanceCache, Extraction, Mse, MseConfig, SectionWrapperSet};
 use mse::testbed::EngineSpec;
+
+/// The engines compared: panel engines 0, 1, 6 and 9 (6 and 9 learn
+/// several wrappers plus families), and engine 6 again with every body
+/// wrapped in eight `<div>`s, for deep container paths. Each entry holds
+/// the eight pages' `(html, query)`; the first five are the samples.
+fn corpus() -> Vec<Vec<(String, String)>> {
+    let pages = |engine_id: usize, depth: usize| -> Vec<(String, String)> {
+        let engine = EngineSpec::generate(2006, engine_id);
+        (0..8)
+            .map(|q| {
+                let p = engine.page(q);
+                (nest_body(&p.html, depth), p.query)
+            })
+            .collect()
+    };
+    vec![
+        pages(0, 0),
+        pages(1, 0),
+        pages(6, 0),
+        pages(9, 0),
+        pages(6, 8),
+    ]
+}
 
 /// Build wrappers and extract a page batch under one configuration,
 /// returning the extractions serialized to JSON for byte comparison.
 fn run(threads: usize, cache_enabled: bool) -> String {
     let mut out = Vec::new();
-    for engine_id in 0..2 {
-        let engine = EngineSpec::generate(2006, engine_id);
-        let samples: Vec<_> = (0..5).map(|q| engine.page(q)).collect();
-        let refs: Vec<(&str, Option<&str>)> = samples
+    for pages in corpus() {
+        let refs: Vec<(&str, Option<&str>)> = pages
             .iter()
-            .map(|p| (p.html.as_str(), Some(p.query.as_str())))
+            .map(|(html, query)| (html.as_str(), Some(query.as_str())))
             .collect();
         let cfg = MseConfig {
             threads,
@@ -25,15 +49,9 @@ fn run(threads: usize, cache_enabled: bool) -> String {
         };
         let cache = DistanceCache::new(cache_enabled);
         let ws: SectionWrapperSet = Mse::new(cfg)
-            .build_with_queries_cached(&refs, &cache)
+            .build_with_queries_cached(&refs[..5], &cache)
             .expect("wrapper build");
-
-        let pages: Vec<_> = (0..8).map(|q| engine.page(q)).collect();
-        let page_refs: Vec<(&str, Option<&str>)> = pages
-            .iter()
-            .map(|p| (p.html.as_str(), Some(p.query.as_str())))
-            .collect();
-        let exs: Vec<Extraction> = ws.extract_batch_cached(&page_refs, &cache);
+        let exs: Vec<Extraction> = ws.extract_batch_cached(&refs, &cache);
         out.push(exs);
     }
     serde_json::to_string(&out).expect("serialize extractions")

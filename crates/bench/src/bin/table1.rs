@@ -1,7 +1,12 @@
 //! Regenerates the paper's Table 1: section extraction results on all 119
-//! search engines (1190 pages). Usage: `table1 [--small] [--threads N]`.
+//! search engines (1190 pages). Usage:
+//! `table1 [--small] [--threads N] [--write FILE]`.
+//!
+//! `--write FILE` also writes every row of Tables 1–3 and the failed-engine
+//! list as JSON; `table1 --write results/paper_tables_2006.json` regenerates
+//! the pin that `tests/paper_tables.rs` checks.
 
-use mse_eval::{run_corpus, section_table};
+use mse_eval::{run_corpus, section_table, PaperTables};
 use mse_testbed::{Corpus, CorpusConfig};
 
 fn main() {
@@ -47,5 +52,14 @@ fn main() {
         .collect();
     if !failed.is_empty() {
         println!("wrapper construction failed for engines: {failed:?}");
+    }
+    if let Some(path) = args
+        .iter()
+        .position(|a| a == "--write")
+        .and_then(|i| args.get(i + 1))
+    {
+        let tables = PaperTables::from_score(corpus.config.seed, &score);
+        let json = serde_json::to_string_pretty(&tables).expect("serialize tables");
+        std::fs::write(path, json + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
     }
 }

@@ -11,7 +11,8 @@
 //! `features::PageIds`). Every sequence starts with a kind tag, so ids of
 //! different kinds never share a memo slot. The memo itself is symmetric
 //! (`(a, b)` and `(b, a)` hit the same slot) and safe to share across the
-//! worker threads of one build (`RwLock` tables, atomic hit/miss counters).
+//! worker threads of one batch extraction (`RwLock` tables, atomic
+//! hit/miss counters); a wrapper build uses it from one thread.
 //!
 //! A cache instance is only valid for one [`MseConfig`](crate::MseConfig):
 //! the memoized values bake in the distance weights, which the keys do not

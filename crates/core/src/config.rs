@@ -174,10 +174,11 @@ pub struct MseConfig {
     pub enable_granularity: bool,
     pub enable_families: bool,
     pub mining: MiningMode,
-    /// Worker threads for page-level fan-out (analysis, batch extraction)
-    /// and pairwise distance loops. `0` = use all available cores, `1` =
-    /// serial (no threads spawned). Results are identical for every
-    /// setting — parallelism only changes wall-clock time.
+    /// Worker threads for batch extraction's page fan-out. `0` = use all
+    /// available cores, `1` = serial (no threads spawned). Results are
+    /// identical for every setting — parallelism only changes wall-clock
+    /// time. Wrapper build always runs on the calling thread; run builds
+    /// side by side to use more cores.
     pub threads: usize,
     /// Use the memoized bounded distance engine: record-pair distances go
     /// through a build-owned [`DistanceCache`](crate::DistanceCache) so

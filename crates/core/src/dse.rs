@@ -48,9 +48,8 @@ pub fn csbm_flags(pages: &[Page], mrs: &[Vec<SectionInst>], cfg: &MseConfig) -> 
     csbm_flags_cached(pages, mrs, cfg, &DistanceCache::disabled())
 }
 
-/// [`csbm_flags`] with a shared intern table. The pairwise DSE runs are
-/// independent, so they fan out over `cfg.threads` workers; votes are
-/// tallied in pair order, keeping the result identical to the serial run.
+/// [`csbm_flags`] with a shared intern table. Votes are tallied in pair
+/// order.
 pub fn csbm_flags_cached(
     pages: &[Page],
     mrs: &[Vec<SectionInst>],
@@ -65,27 +64,20 @@ pub fn csbm_flags_cached(
     } else {
         Vec::new()
     };
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    let mut votes: Vec<Vec<usize>> = pages.iter().map(|p| vec![0; p.n_lines()]).collect();
     for i in 0..n {
         for j in i + 1..n {
-            pairs.push((i, j));
-        }
-    }
-    let per_pair: Vec<(Vec<usize>, Vec<usize>)> =
-        crate::par::par_map(&pairs, cfg.effective_threads(), |_, &(i, j)| {
-            if cache.enabled() {
+            let (mi, mj) = if cache.enabled() {
                 pair_csbms_indexed(&pages[i], &indexes[i], &pages[j], &indexes[j])
             } else {
                 pair_csbms(&pages[i], &pages[j])
+            };
+            for l in mi {
+                votes[i][l] += 1;
             }
-        });
-    let mut votes: Vec<Vec<usize>> = pages.iter().map(|p| vec![0; p.n_lines()]).collect();
-    for (&(i, j), (mi, mj)) in pairs.iter().zip(&per_pair) {
-        for &l in mi {
-            votes[i][l] += 1;
-        }
-        for &l in mj {
-            votes[j][l] += 1;
+            for l in mj {
+                votes[j][l] += 1;
+            }
         }
     }
     let need = if n <= 1 {

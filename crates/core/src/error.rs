@@ -133,13 +133,42 @@ impl From<RenderError> for ExtractError {
     }
 }
 
+/// The wrapper-build step after which no section was left (see
+/// [`BuildError::NoSections`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NoSectionsStage {
+    /// Grouping: no section instance matched one on another sample page.
+    Grouping,
+    /// `build_wrapper` returned no wrapper for any instance group.
+    BuildWrapper,
+    /// Every wrapper's container was the page scaffolding (`<body>` or
+    /// `<html>`).
+    Scaffolding,
+    /// Self-validation: no wrapper reproduced an analysed instance on two
+    /// sample pages.
+    SelfValidation,
+}
+
+impl fmt::Display for NoSectionsStage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            NoSectionsStage::Grouping => "grouping",
+            NoSectionsStage::BuildWrapper => "build_wrapper",
+            NoSectionsStage::Scaffolding => "the scaffolding-container filter",
+            NoSectionsStage::SelfValidation => "self-validation",
+        };
+        f.write_str(s)
+    }
+}
+
 /// Wrapper-construction failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BuildError {
     /// Fewer than two sample pages — DSE needs a pair.
     TooFewPages(usize),
-    /// No certified section instance group was found.
-    NoSections,
+    /// No certified section instance group was found; `stage` is the
+    /// build step that left none.
+    NoSections { stage: NoSectionsStage },
     /// The configuration violates its constraints.
     InvalidConfig(String),
     /// A sample page was rejected by a resource budget. Build is strict:
@@ -163,7 +192,12 @@ impl fmt::Display for BuildError {
             BuildError::TooFewPages(n) => {
                 write!(f, "MSE needs at least 2 sample pages, got {n}")
             }
-            BuildError::NoSections => write!(f, "no certified section instances found"),
+            BuildError::NoSections { stage } => {
+                write!(
+                    f,
+                    "no certified section instances found (none left after {stage})"
+                )
+            }
             BuildError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             BuildError::Page { index, source } => {
                 write!(f, "sample page {index} rejected: {source}")
@@ -271,6 +305,19 @@ mod tests {
         assert!(s.contains("2 error-level"));
         assert!(s.contains("sep-empty-set"));
         assert!(v.source().is_none());
+    }
+
+    #[test]
+    fn no_sections_names_its_stage() {
+        let b = BuildError::NoSections {
+            stage: NoSectionsStage::BuildWrapper,
+        };
+        assert!(b.to_string().contains("no certified section instances"));
+        assert!(b.to_string().contains("after build_wrapper"));
+        let b = BuildError::NoSections {
+            stage: NoSectionsStage::SelfValidation,
+        };
+        assert!(b.to_string().contains("after self-validation"));
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::config::MseConfig;
 use crate::page::Page;
 use mse_dom::NodeId;
 use mse_render::block::{dbp, dbs, dbt, dbta};
+use mse_render::{ContentLine, LineAttrs, LineType};
 use mse_treedit::{forest_distance, forest_distance_bounded, TagTree};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -153,9 +154,65 @@ impl PageIds {
     }
 }
 
+/// Per-page table of line distances `Dline` (Formula 3) over the lines'
+/// (type, position, attrs) classes. `Dline` reads nothing else, so two
+/// lines of one class are interchangeable and each class pair is computed
+/// once; `Dline` is symmetric term by term, so the stored value is
+/// bit-identical to computing any of its line pairs directly.
+#[derive(Default)]
+struct LineTable<'a> {
+    /// Class of each line, `UNSET` until first asked.
+    class: Vec<u32>,
+    classes: HashMap<(LineType, i32, &'a LineAttrs), u32>,
+    /// Lower triangle: `dist[a][b]` for `b <= a`, NaN until computed.
+    dist: Vec<Vec<f64>>,
+}
+
+impl<'a> LineTable<'a> {
+    fn class(&mut self, lines: &'a [ContentLine], l: usize) -> usize {
+        if self.class.len() != lines.len() {
+            self.class = vec![UNSET; lines.len()];
+        }
+        if self.class[l] == UNSET {
+            let line = &lines[l];
+            let next = self.classes.len() as u32;
+            let c = *self
+                .classes
+                .entry((line.ltype, line.pos, &line.attrs))
+                .or_insert(next);
+            if c == next {
+                self.dist.push(vec![f64::NAN; c as usize + 1]);
+            }
+            self.class[l] = c;
+        }
+        self.class[l] as usize
+    }
+
+    /// `lines[i].distance(&lines[j], u)`, read from the table.
+    fn distance(
+        &mut self,
+        lines: &'a [ContentLine],
+        u: (f64, f64, f64),
+        i: usize,
+        j: usize,
+    ) -> f64 {
+        let (a, b) = (self.class(lines, i), self.class(lines, j));
+        let slot = &mut self.dist[a.max(b)][a.min(b)];
+        if slot.is_nan() {
+            *slot = lines[i].distance(&lines[j], u);
+        }
+        *slot
+    }
+}
+
 /// Feature calculator with a per-page tag-forest cache (forest lifting is
 /// the expensive part of `Drec`) and an optional shared [`DistanceCache`]
 /// memoizing record-pair distances across pages and `Features` instances.
+///
+/// Wrapper build makes one per sample page and lends it to every stage
+/// (MRE, refinement, granularity, grouping), so the page's structure ids,
+/// lifted forests, record keys and `Div` values are each computed once per
+/// build; the public per-stage functions make their own.
 pub struct Features<'a> {
     pub page: &'a Page,
     pub cfg: &'a MseConfig,
@@ -164,6 +221,9 @@ pub struct Features<'a> {
     ids: Option<PageIds>,
     keys: HashMap<(usize, usize), u32>,
     divs: HashMap<(usize, usize), f64>,
+    /// Built on the first `div` call; extraction's family checks never
+    /// make one.
+    lines: Option<Box<LineTable<'a>>>,
 }
 
 impl<'a> Features<'a> {
@@ -176,6 +236,7 @@ impl<'a> Features<'a> {
             ids: None,
             keys: HashMap::new(),
             divs: HashMap::new(),
+            lines: None,
         }
     }
 
@@ -193,11 +254,31 @@ impl<'a> Features<'a> {
         }
     }
 
-    fn ensure_forest(&mut self, r: Rec) {
+    pub(crate) fn ensure_forest(&mut self, r: Rec) {
         if !self.forests.contains_key(&(r.start, r.end)) {
             let f = self.page.forest(r.start, r.end);
             self.forests.insert((r.start, r.end), f);
         }
+    }
+
+    /// The tag forest of `r`, if [`ensure_forest`](Self::ensure_forest)
+    /// has lifted it.
+    pub(crate) fn lifted(&self, r: Rec) -> Option<&[TagTree]> {
+        self.forests.get(&(r.start, r.end)).map(Vec::as_slice)
+    }
+
+    /// The interned id of `r`'s tag forest (the key of grouping's
+    /// cross-page `Dtf` term), keyed by the same root ids as the record
+    /// keys; `None` without an enabled cache.
+    pub(crate) fn forest_id(&mut self, r: Rec) -> Option<u32> {
+        let cache = self.cache.filter(|c| c.enabled())?;
+        let page = self.page;
+        let roots = page.rp.forest_of_range(r.start, r.end);
+        Some(
+            self.ids
+                .get_or_insert_with(|| PageIds::new(page))
+                .forest(cache, page, &roots),
+        )
     }
 
     /// The record's interned content key (see [`PageIds`]): its tag-forest
@@ -348,23 +429,29 @@ impl<'a> Features<'a> {
 
     /// Record diversity `Div` (Formula 6): mean pairwise line distance
     /// within one record. Zero for single-line records.
+    ///
+    /// Line distances come from the page's [`LineTable`]; the pairs are
+    /// summed in the same order as the direct double loop, so the result
+    /// is bit-identical to it.
     pub fn div(&mut self, r: Rec) -> f64 {
         if let Some(&d) = self.divs.get(&(r.start, r.end)) {
             return d;
         }
-        let lines = &self.page.rp.lines[r.start..r.end];
-        let m = lines.len();
-        if m < 2 {
-            self.divs.insert((r.start, r.end), 0.0);
-            return 0.0;
-        }
-        let mut sum = 0.0;
-        for i in 0..m - 1 {
-            for j in i + 1..m {
-                sum += lines[i].distance(&lines[j], self.cfg.u);
+        let m = r.len();
+        let d = if m < 2 {
+            0.0
+        } else {
+            let page = self.page;
+            let lines = &page.rp.lines;
+            let table = self.lines.get_or_insert_with(Default::default);
+            let mut sum = 0.0;
+            for i in r.start..r.end - 1 {
+                for j in i + 1..r.end {
+                    sum += table.distance(lines, self.cfg.u, i, j);
+                }
             }
-        }
-        let d = sum / (m * (m - 1) / 2) as f64;
+            sum / (m * (m - 1) / 2) as f64
+        };
         self.divs.insert((r.start, r.end), d);
         d
     }
@@ -505,12 +592,21 @@ mod tests {
             Vec<TagTree>,
             Vec<(mse_render::LineType, i32, mse_render::LineAttrs)>,
         );
+        // Each testbed page twice: legacy ingest and the fast ingest the
+        // build uses (whose DOM has no comment nodes).
+        let budget = crate::config::ResourceBudget::default();
         let mut pages: Vec<Page> = (0..3)
             .flat_map(|engine| {
                 let spec = mse_testbed::EngineSpec::generate(2006, engine);
                 (0..2).map(move |q| spec.page(q))
             })
-            .map(|g| Page::from_html(&g.html, Some(&g.query)))
+            .flat_map(|g| {
+                let q = Some(g.query.as_str());
+                [
+                    Page::from_html(&g.html, q),
+                    Page::try_from_html_strict(&g.html, q, &budget).expect("fast ingest"),
+                ]
+            })
             .collect();
         // Records that differ only in a tag name, or only in position.
         pages.push(page(concat!(
@@ -539,6 +635,48 @@ mod tests {
             }
         }
         assert!(by_key.len() > 100, "only {} distinct records", by_key.len());
+    }
+
+    /// The table-driven `Div` equals the direct mean of
+    /// `ContentLine::distance` over the range's line pairs, bit for bit,
+    /// for every range of up to 8 lines on testbed pages.
+    #[test]
+    fn div_table_is_exact() {
+        let cfg = MseConfig::default();
+        for engine in [0, 1, 6, 9] {
+            let spec = mse_testbed::EngineSpec::generate(2006, engine);
+            for q in 0..2 {
+                let g = spec.page(q);
+                let p = Page::from_html(&g.html, Some(&g.query));
+                let lines = &p.rp.lines;
+                let mut f = Features::new(&p, &cfg);
+                for start in 0..p.n_lines() {
+                    for end in start + 1..(start + 9).min(p.n_lines() + 1) {
+                        let m = end - start;
+                        let mut sum = 0.0;
+                        for i in start..end {
+                            for j in i + 1..end {
+                                sum += lines[i].distance(&lines[j], cfg.u);
+                            }
+                        }
+                        let direct = if m < 2 {
+                            0.0
+                        } else {
+                            sum / (m * (m - 1) / 2) as f64
+                        };
+                        let table = f.div(Rec::new(start, end));
+                        assert_eq!(
+                            table.to_bits(),
+                            direct.to_bits(),
+                            "engine {engine} page {q} lines {start}..{end}: {table} vs {direct}"
+                        );
+                    }
+                }
+                // The table shares entries: lines fall into fewer classes.
+                let classes = f.lines.as_ref().map_or(0, |t| t.classes.len());
+                assert!(classes > 0 && classes < p.n_lines());
+            }
+        }
     }
 
     #[test]

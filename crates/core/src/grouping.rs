@@ -11,14 +11,14 @@
 
 use crate::cache::DistanceCache;
 use crate::config::MseConfig;
-use crate::features::{PageIds, Rec};
+use crate::features::{Features, Rec};
 use crate::mre::common_parent;
 use crate::page::Page;
 use crate::section::SectionInst;
 use mse_algos::{cliques_of_size, stable_marriage};
 use mse_dom::CompactTagPath;
 use mse_render::block::{dbt, dbta};
-use mse_treedit::{forest_distance, forest_of};
+use mse_treedit::forest_distance;
 
 /// Reference to one section instance: (page index, section index).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -125,30 +125,27 @@ pub fn match_score(
 }
 
 /// Per-instance inputs of [`match_score`] that do not depend on the
-/// partner instance — the container path and the first record's tag
-/// forest. The optimized engine computes these once per instance instead
-/// of once per (instance, instance) score evaluation.
+/// partner instance — the container path and the first record, whose tag
+/// forest is lifted into the page's [`Features`]. The optimized engine
+/// computes these once per instance instead of once per (instance,
+/// instance) score evaluation.
 struct InstanceCtx {
     path: Option<CompactTagPath>,
-    forest: Option<Vec<mse_treedit::TagTree>>,
-    /// Interned id of `forest` (the cross-page `dtf` memo key), keyed by
-    /// the same root ids as `Drec`'s record keys.
+    first: Option<Rec>,
+    /// Interned id of the first record's forest (the cross-page `dtf` memo
+    /// key), keyed by the same root ids as `Drec`'s record keys.
     forest_id: Option<u32>,
 }
 
-fn instance_ctx(page: &Page, sec: &SectionInst, cache: &DistanceCache) -> InstanceCtx {
-    let roots = sec
-        .records
-        .first()
-        .map(|r| page.rp.forest_of_range(r.start, r.end));
-    let forest_id = match &roots {
-        Some(roots) if cache.enabled() => Some(PageIds::new(page).forest(cache, page, roots)),
-        _ => None,
-    };
+fn instance_ctx(feats: &mut Features, sec: &SectionInst) -> InstanceCtx {
+    let first = sec.records.first().copied();
+    if let Some(r) = first {
+        feats.ensure_forest(r);
+    }
     InstanceCtx {
-        path: container_path(page, sec),
-        forest: roots.map(|roots| forest_of(&page.rp.dom, &roots)),
-        forest_id,
+        path: container_path(feats.page, sec),
+        first,
+        forest_id: first.and_then(|r| feats.forest_id(r)),
     }
 }
 
@@ -161,24 +158,27 @@ pub fn match_score_cached(
     sb: &SectionInst,
     cache: &DistanceCache,
 ) -> f64 {
-    let ca = instance_ctx(pa, sa, cache);
-    let cb = instance_ctx(pb, sb, cache);
-    match_score_pre(cfg, pa, sa, &ca, pb, sb, &cb, cache)
+    let mut fa = Features::with_cache(pa, cfg, cache);
+    let mut fb = Features::with_cache(pb, cfg, cache);
+    let ca = instance_ctx(&mut fa, sa);
+    let cb = instance_ctx(&mut fb, sb);
+    match_score_pre(cfg, &fa, sa, &ca, &fb, sb, &cb, cache)
 }
 
 /// Score from precomputed per-instance contexts.
 #[allow(clippy::too_many_arguments)]
 fn match_score_pre(
     cfg: &MseConfig,
-    pa: &Page,
+    fa: &Features,
     sa: &SectionInst,
     ca: &InstanceCtx,
-    pb: &Page,
+    fb: &Features,
     sb: &SectionInst,
     cb: &InstanceCtx,
     cache: &DistanceCache,
 ) -> f64 {
     let (w_path, w_sbm, w_fmt) = cfg.match_weights;
+    let (pa, pb) = (fa.page, fb.page);
 
     // Tag-path similarity of the section containers.
     let path_sim = match (&ca.path, &cb.path) {
@@ -211,20 +211,18 @@ fn match_score_pre(
 
     // Format similarity: compare the first records across pages (tag
     // forest + block type + block attrs — the cross-page subset of Drec).
-    let fmt_sim = match (
-        sa.records.first().zip(ca.forest.as_ref()),
-        sb.records.first().zip(cb.forest.as_ref()),
-    ) {
-        (Some((&ra, fa)), Some((&rb, fb))) => {
+    let firsts = ca.first.zip(cb.first);
+    let fmt_sim = match firsts.and_then(|(ra, rb)| Some((ra, fa.lifted(ra)?, rb, fb.lifted(rb)?))) {
+        Some((ra, ta, rb, tb)) => {
             let dtf = match (ca.forest_id, cb.forest_id) {
-                (Some(ka), Some(kb)) => cache.pair(ka, kb, || forest_distance(fa, fb)),
-                _ => forest_distance(fa, fb),
+                (Some(ka), Some(kb)) => cache.pair(ka, kb, || forest_distance(ta, tb)),
+                _ => forest_distance(ta, tb),
             };
             let la = &pa.rp.lines[ra.start..ra.end];
             let lb = &pb.rp.lines[rb.start..rb.end];
             1.0 - (0.5 * dtf + 0.25 * dbt(la, lb) + 0.25 * dbta(la, lb))
         }
-        _ => 0.0,
+        None => 0.0,
     };
 
     w_path * path_sim + w_sbm * sbm_sim + w_fmt * fmt_sim
@@ -239,12 +237,25 @@ pub fn group_instances(
     group_instances_cached(pages, sections, cfg, &DistanceCache::disabled())
 }
 
-/// [`group_instances`] with a shared distance memo. The page-pair stable
-/// marriages are independent, so they fan out over `cfg.threads` workers;
-/// edges are reassembled in pair order, keeping the result identical to
-/// the serial run.
+/// [`group_instances`] with a shared distance memo.
 pub fn group_instances_cached(
     pages: &[Page],
+    sections: &[Vec<SectionInst>],
+    cfg: &MseConfig,
+    cache: &DistanceCache,
+) -> Vec<Vec<InstanceRef>> {
+    let mut feats: Vec<Features> = pages
+        .iter()
+        .map(|p| Features::with_cache(p, cfg, cache))
+        .collect();
+    group_instances_with(&mut feats, sections, cfg, cache)
+}
+
+/// [`group_instances_cached`] against caller-owned per-page [`Features`]
+/// (wrapper build lends the ones its analysis filled). Page pairs run in
+/// order, and so do the edges they contribute.
+pub(crate) fn group_instances_with(
+    feats: &mut [Features],
     sections: &[Vec<SectionInst>],
     cfg: &MseConfig,
     cache: &DistanceCache,
@@ -257,68 +268,48 @@ pub fn group_instances_cached(
         verts.extend((0..secs.len()).map(|idx| InstanceRef { page: p, idx }));
     }
 
-    // Stable marriage per page pair → edges.
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for a in 0..pages.len() {
-        for b in a + 1..pages.len() {
-            if !sections[a].is_empty() && !sections[b].is_empty() {
-                pairs.push((a, b));
-            }
-        }
-    }
     // Per-instance contexts, once per instance. The reference engine
     // (cache disabled) recomputes them inside every score call instead.
     let ctxs: Vec<Vec<InstanceCtx>> = if cache.enabled() {
-        sections
-            .iter()
-            .enumerate()
-            .map(|(p, secs)| {
-                secs.iter()
-                    .map(|sec| instance_ctx(&pages[p], sec, cache))
-                    .collect()
-            })
+        feats
+            .iter_mut()
+            .zip(sections)
+            .map(|(f, secs)| secs.iter().map(|sec| instance_ctx(f, sec)).collect())
             .collect()
     } else {
         Vec::new()
     };
-    let per_pair: Vec<Vec<(usize, usize)>> =
-        crate::par::par_map(&pairs, cfg.effective_threads(), |_, &(a, b)| {
-            let (na, nb) = (sections[a].len(), sections[b].len());
+    let feats: &[Features] = feats;
+
+    // Stable marriage per page pair → edges.
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    for a in 0..feats.len() {
+        for b in a + 1..feats.len() {
+            if sections[a].is_empty() || sections[b].is_empty() {
+                continue;
+            }
             let matching = stable_marriage(
-                na,
-                nb,
+                sections[a].len(),
+                sections[b].len(),
                 |i, j| {
+                    let (sa, sb) = (&sections[a][i], &sections[b][j]);
                     if cache.enabled() {
-                        match_score_pre(
-                            cfg,
-                            &pages[a],
-                            &sections[a][i],
-                            &ctxs[a][i],
-                            &pages[b],
-                            &sections[b][j],
-                            &ctxs[b][j],
-                            cache,
-                        )
+                        let (ca, cb) = (&ctxs[a][i], &ctxs[b][j]);
+                        match_score_pre(cfg, &feats[a], sa, ca, &feats[b], sb, cb, cache)
                     } else {
-                        match_score_cached(
-                            cfg,
-                            &pages[a],
-                            &sections[a][i],
-                            &pages[b],
-                            &sections[b][j],
-                            cache,
-                        )
+                        match_score_cached(cfg, feats[a].page, sa, feats[b].page, sb, cache)
                     }
                 },
                 cfg.section_match_threshold,
             );
-            matching
-                .iter()
-                .enumerate()
-                .filter_map(|(i, m)| m.map(|j| (offset[a] + i, offset[b] + j)))
-                .collect()
-        });
-    let edges: Vec<(usize, usize)> = per_pair.into_iter().flatten().collect();
+            edges.extend(
+                matching
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, m)| m.map(|j| (offset[a] + i, offset[b] + j))),
+            );
+        }
+    }
 
     cliques_of_size(verts.len(), &edges, 2)
         .into_iter()

@@ -134,6 +134,26 @@ impl Page {
             diags,
         ))
     }
+
+    /// [`Page::try_from_html_fast`] with render truncation promoted to a
+    /// hard error: the strict ingest wrapper build uses for its samples.
+    pub fn try_from_html_strict_scratch(
+        html: &str,
+        query: Option<&str>,
+        budget: &ResourceBudget,
+        scratch: &mut IngestScratch,
+    ) -> Result<Page, ExtractError> {
+        let (page, diags) = Page::try_from_html_fast(html, query, budget, scratch)?;
+        if diags.is_empty() {
+            Ok(page)
+        } else {
+            Err(ExtractError::Render(
+                mse_render::RenderError::LineBudgetExceeded {
+                    max: budget.max_content_lines,
+                },
+            ))
+        }
+    }
 }
 
 #[cfg(test)]

@@ -81,7 +81,7 @@ pub use compiled::{
     CollectSink, CompiledParts, CompiledRef, CompiledWrapperSet, ExtractScratch, RecordSink,
 };
 pub use config::{MiningMode, MseConfig, ResourceBudget};
-pub use error::{Diagnostic, ExtractError, MseError, Stage};
+pub use error::{Diagnostic, ExtractError, MseError, NoSectionsStage, Stage};
 pub use family::FamilyWrapper;
 pub use features::{Features, Rec};
 pub use ingest::IngestScratch;

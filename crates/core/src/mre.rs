@@ -44,6 +44,13 @@ pub fn mre(page: &Page, cfg: &MseConfig) -> Vec<SectionInst> {
 
 /// [`mre`] with a shared distance memo (see [`DistanceCache`]).
 pub fn mre_cached(page: &Page, cfg: &MseConfig, cache: &DistanceCache) -> Vec<SectionInst> {
+    mre_with(&mut Features::with_cache(page, cfg, cache))
+}
+
+/// [`mre`] against a caller-owned [`Features`] calculator (wrapper build
+/// shares one per sample page across all its stages).
+pub(crate) fn mre_with(feats: &mut Features) -> Vec<SectionInst> {
+    let (page, cfg) = (feats.page, feats.cfg);
     let n = page.n_lines();
     if n == 0 {
         return vec![];
@@ -64,7 +71,6 @@ pub fn mre_cached(page: &Page, cfg: &MseConfig, cache: &DistanceCache) -> Vec<Se
         }
     }
 
-    let mut feats = Features::with_cache(page, cfg, cache);
     let mut tentative: Vec<SectionInst> = Vec::new();
     for (_sig, occs) in &keys {
         if occs.len() < cfg.min_pattern_repeat {
@@ -87,7 +93,7 @@ pub fn mre_cached(page: &Page, cfg: &MseConfig, cache: &DistanceCache) -> Vec<Se
             if r.len() < cfg.min_pattern_repeat {
                 continue;
             }
-            tentative.extend(candidates_from_run(page, cfg, &mut feats, &sigs, &r));
+            tentative.extend(candidates_from_run(page, cfg, feats, &sigs, &r));
         }
     }
 

@@ -3,6 +3,7 @@
 
 use crate::config::{MseConfig, ResourceBudget};
 use crate::error::{Diagnostic, ExtractError, Stage};
+use crate::ingest::IngestScratch;
 use mse_render::{render_lines_capped, LineType, RenderedPage};
 use mse_treedit::{forest_of, TagTree};
 
@@ -69,23 +70,16 @@ impl Page {
     }
 
     /// [`try_from_html`](Page::try_from_html) with render truncation
-    /// promoted to a hard error — used by the build path, where a wrapper
-    /// learned from a truncated sample would be silently wrong.
+    /// promoted to a hard error — the build path's stance, where a wrapper
+    /// learned from a truncated sample would be silently wrong. Ingests on
+    /// the fast path ([`Page::try_from_html_strict_scratch`]) with a fresh
+    /// scratch.
     pub fn try_from_html_strict(
         html: &str,
         query: Option<&str>,
         budget: &ResourceBudget,
     ) -> Result<Page, ExtractError> {
-        let (page, diags) = Page::try_from_html(html, query, budget)?;
-        if diags.is_empty() {
-            Ok(page)
-        } else {
-            Err(ExtractError::Render(
-                mse_render::RenderError::LineBudgetExceeded {
-                    max: budget.max_content_lines,
-                },
-            ))
-        }
+        Page::try_from_html_strict_scratch(html, query, budget, &mut IngestScratch::new())
     }
 
     #[inline]

@@ -1,5 +1,5 @@
-//! Minimal std-only fork-join helper for the pipeline's page-level and
-//! pair-level fan-out.
+//! Minimal std-only fork-join helper for batch extraction's page-level
+//! fan-out (wrapper build runs on one thread; see DESIGN.md §9).
 //!
 //! Scheduling is **work-stealing by atomic counter**: every worker claims
 //! the next unprocessed index with a `fetch_add`, so a thread that drew a

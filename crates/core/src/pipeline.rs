@@ -4,11 +4,13 @@
 use crate::cache::DistanceCache;
 use crate::config::MseConfig;
 use crate::dse::{csbm_flags_cached, identify_dss};
-use crate::error::{Diagnostic, ExtractError, Stage};
+use crate::error::{Diagnostic, ExtractError, NoSectionsStage, Stage};
 use crate::family::{apply_family_with, build_families, FamilyWrapper};
+use crate::features::Features;
 use crate::granularity::granularity_with;
-use crate::grouping::group_instances_cached;
-use crate::mre::mre_cached;
+use crate::grouping::{group_instances_with, InstanceRef};
+use crate::ingest::IngestScratch;
+use crate::mre::mre_with;
 use crate::page::Page;
 use crate::refine::refine_with;
 use crate::section::SectionInst;
@@ -163,33 +165,21 @@ impl Mse {
         if inputs.len() < 2 {
             return Err(BuildError::TooFewPages(inputs.len()));
         }
-        // Build is strict: a sample page that trips a resource budget is
-        // a hard error naming the input — a wrapper learned from a
-        // truncated sample would be silently wrong.
-        let budget = self.cfg.budget;
-        let mut clock = StageClock::new(budget.stage_deadline_ms);
-        let parsed: Vec<Result<Page, ExtractError>> =
-            crate::par::par_map(inputs, self.cfg.effective_threads(), |_, (html, q)| {
-                Page::try_from_html_strict(html, *q, &budget)
+        let mut clock = StageClock::new(self.cfg.budget.stage_deadline_ms);
+        let (pages, sections, groups) = self.group_samples(inputs, cache, &mut clock)?;
+        if groups.is_empty() {
+            return Err(BuildError::NoSections {
+                stage: NoSectionsStage::Grouping,
             });
-        let mut pages: Vec<Page> = Vec::with_capacity(parsed.len());
-        for (index, page) in parsed.into_iter().enumerate() {
-            pages.push(page.map_err(|source| BuildError::Page { index, source })?);
         }
-        clock.check(Stage::Parse)?;
-
-        clock.next_stage();
-        let sections = analyze_pages_cached(&pages, &self.cfg, cache);
-        clock.check(Stage::Analyze)?;
-
-        clock.next_stage();
-        let groups = group_instances_cached(&pages, &sections, &self.cfg, cache);
         let mut wrappers: Vec<SectionWrapper> = groups
             .iter()
             .filter_map(|g| build_wrapper(&pages, &sections, g))
             .collect();
         if wrappers.is_empty() {
-            return Err(BuildError::NoSections);
+            return Err(BuildError::NoSections {
+                stage: NoSectionsStage::BuildWrapper,
+            });
         }
         // Drop wrappers whose container resolved to the page scaffolding:
         // a real section container is always an element inside <body>;
@@ -203,7 +193,9 @@ impl Mse {
                 .unwrap_or(false)
         });
         if wrappers.is_empty() {
-            return Err(BuildError::NoSections);
+            return Err(BuildError::NoSections {
+                stage: NoSectionsStage::Scaffolding,
+            });
         }
 
         // Merge duplicate wrappers (same pref tag sequence and seps): the
@@ -323,7 +315,9 @@ impl Mse {
             ok >= 2
         });
         if wrappers.is_empty() {
-            return Err(BuildError::NoSections);
+            return Err(BuildError::NoSections {
+                stage: NoSectionsStage::SelfValidation,
+            });
         }
 
         // Order wrappers by their earliest appearance (section order on the
@@ -355,6 +349,46 @@ impl Mse {
             families,
         })
     }
+
+    /// Steps 1–7 of a build: ingest the samples, analyse them and group
+    /// their section instances, all on the calling thread — at five pages
+    /// of a few KB a build is too small to repay spawning workers, so
+    /// parallelism belongs across builds. Each sample is ingested once, on
+    /// the fast path, and gets one [`Features`] that MRE, refinement,
+    /// granularity and grouping all borrow.
+    ///
+    /// Ingest is strict: a sample page that trips a resource budget is a
+    /// hard error naming the input — a wrapper learned from a truncated
+    /// sample would be silently wrong.
+    #[allow(clippy::type_complexity)]
+    fn group_samples(
+        &self,
+        inputs: &[(&str, Option<&str>)],
+        cache: &DistanceCache,
+        clock: &mut StageClock,
+    ) -> Result<(Vec<Page>, Vec<Vec<SectionInst>>, Vec<Vec<InstanceRef>>), BuildError> {
+        let mut scratch = IngestScratch::new();
+        let mut pages: Vec<Page> = Vec::with_capacity(inputs.len());
+        for (index, (html, q)) in inputs.iter().enumerate() {
+            let page = Page::try_from_html_strict_scratch(html, *q, &self.cfg.budget, &mut scratch)
+                .map_err(|source| BuildError::Page { index, source })?;
+            pages.push(page);
+        }
+        clock.check(Stage::Parse)?;
+
+        let mut feats: Vec<Features> = pages
+            .iter()
+            .map(|p| Features::with_cache(p, &self.cfg, cache))
+            .collect();
+        clock.next_stage();
+        let sections = analyze_with(&pages, &mut feats, &self.cfg, cache);
+        clock.check(Stage::Analyze)?;
+
+        clock.next_stage();
+        let groups = group_instances_with(&mut feats, &sections, &self.cfg, cache);
+        drop(feats); // it borrows `pages`
+        Ok((pages, sections, groups))
+    }
 }
 
 /// Run pipeline steps 2–6 on a set of pages: MRE, DSE, refinement and
@@ -364,55 +398,70 @@ pub fn analyze_pages(pages: &[Page], cfg: &MseConfig) -> Vec<Vec<SectionInst>> {
     analyze_pages_cached(pages, cfg, &cache)
 }
 
-/// [`analyze_pages`] with a shared distance memo. The per-page MRE and
-/// refinement/granularity passes fan out over `cfg.threads` workers;
-/// outputs keep page order, so the result is identical to the serial run.
+/// [`analyze_pages`] with a shared distance memo.
 pub fn analyze_pages_cached(
     pages: &[Page],
     cfg: &MseConfig,
     cache: &DistanceCache,
 ) -> Vec<Vec<SectionInst>> {
-    let threads = cfg.effective_threads();
-    let mrs: Vec<Vec<SectionInst>> =
-        crate::par::par_map(pages, threads, |_, p| mre_cached(p, cfg, cache));
+    let mut feats: Vec<Features> = pages
+        .iter()
+        .map(|p| Features::with_cache(p, cfg, cache))
+        .collect();
+    analyze_with(pages, &mut feats, cfg, cache)
+}
+
+/// [`analyze_pages_cached`] against caller-owned per-page [`Features`]
+/// (`feats[i]` calculates over `pages[i]`): MRE, refinement, granularity
+/// and all their mining calls share each page's tag forests, record keys
+/// and `Div` values.
+fn analyze_with(
+    pages: &[Page],
+    feats: &mut [Features],
+    cfg: &MseConfig,
+    cache: &DistanceCache,
+) -> Vec<Vec<SectionInst>> {
+    let mrs: Vec<Vec<SectionInst>> = feats.iter_mut().map(|f| mre_with(f)).collect();
     let flags = csbm_flags_cached(pages, &mrs, cfg, cache);
-    crate::par::par_map(pages, threads, |i, page| {
-        // One Features calculator per page: refinement, granularity and all
-        // their mining calls share the page's tag forests and record keys.
-        let mut feats = crate::features::Features::with_cache(page, cfg, cache);
-        let dss = identify_dss(page, &flags[i]);
-        let secs = if cfg.enable_refine {
-            refine_with(&mut feats, &mrs[i], &dss, &flags[i])
-        } else {
-            // Ablation A1: no MR/DS cross-validation — keep every MR
-            // (static traps included) and mine every MR-free DS.
-            let mut secs = mrs[i].clone();
-            for ds in &dss {
-                if !mrs[i].iter().any(|m| m.overlap(ds.start, ds.end) > 0) {
-                    let recs = crate::mining::mine_records_with(&mut feats, ds.start, ds.end);
-                    if !recs.is_empty() {
-                        secs.push(SectionInst::from_records(recs));
+    feats
+        .iter_mut()
+        .enumerate()
+        .map(|(i, feats)| {
+            let page = feats.page;
+            let dss = identify_dss(page, &flags[i]);
+            let secs = if cfg.enable_refine {
+                refine_with(feats, &mrs[i], &dss, &flags[i])
+            } else {
+                // Ablation A1: no MR/DS cross-validation — keep every MR
+                // (static traps included) and mine every MR-free DS.
+                let mut secs = mrs[i].clone();
+                for ds in &dss {
+                    if !mrs[i].iter().any(|m| m.overlap(ds.start, ds.end) > 0) {
+                        let recs = crate::mining::mine_records_with(feats, ds.start, ds.end);
+                        if !recs.is_empty() {
+                            secs.push(SectionInst::from_records(recs));
+                        }
                     }
                 }
+                secs.sort_by_key(|s| s.start);
+                secs
+            };
+            let mut secs = if cfg.enable_granularity {
+                granularity_with(feats, secs)
+            } else {
+                secs
+            };
+            // Granularity can move section boundaries (merging slivers
+            // created by false CSBMs); re-derive every section's markers
+            // from the final spans so stale in-section pointers cannot
+            // poison the wrapper marker vote.
+            for sec in &mut secs {
+                sec.lbm = (0..sec.start).rev().find(|&l| flags[i][l]);
+                sec.rbm = (sec.end..page.n_lines()).find(|&l| flags[i][l]);
             }
-            secs.sort_by_key(|s| s.start);
             secs
-        };
-        let mut secs = if cfg.enable_granularity {
-            granularity_with(&mut feats, secs)
-        } else {
-            secs
-        };
-        // Granularity can move section boundaries (merging slivers
-        // created by false CSBMs); re-derive every section's markers
-        // from the final spans so stale in-section pointers cannot
-        // poison the wrapper marker vote.
-        for sec in &mut secs {
-            sec.lbm = (0..sec.start).rev().find(|&l| flags[i][l]);
-            sec.rbm = (sec.end..page.n_lines()).find(|&l| flags[i][l]);
-        }
-        secs
-    })
+        })
+        .collect()
 }
 
 /// A built wrapper set: concrete wrappers, families, and the config they
@@ -851,11 +900,63 @@ mod tests {
             Mse::new(bad).build(&["<body></body>", "<body></body>"]),
             Err(BuildError::InvalidConfig(_))
         ));
-        // Pages with nothing dynamic in common → NoSections.
+        // Pages with nothing dynamic in common → NoSections, and no
+        // section instance to group.
         assert!(matches!(
             mse.build(&["<body><p>alpha</p></body>", "<body><p>alpha</p></body>"]),
-            Err(BuildError::NoSections)
+            Err(BuildError::NoSections {
+                stage: NoSectionsStage::Grouping
+            })
         ));
+    }
+
+    /// The build's shared path (one ingest and one `Features` per sample,
+    /// lent to every stage) gives the sections, groups and wrappers that
+    /// composing the public stage functions gives, each call making its
+    /// own `Features` over pages ingested by `try_from_html_strict`.
+    #[test]
+    fn composed_public_stages_equal_the_shared_build_path() {
+        let cfg = MseConfig::default();
+        let mse = Mse::new(cfg.clone());
+        for engine_id in [0, 1, 6, 9] {
+            let engine = mse_testbed::EngineSpec::generate(2006, engine_id);
+            let samples: Vec<_> = (0..5).map(|q| engine.page(q)).collect();
+            let inputs: Vec<(&str, Option<&str>)> = samples
+                .iter()
+                .map(|p| (p.html.as_str(), Some(p.query.as_str())))
+                .collect();
+            let (pages, sections, groups) = mse
+                .group_samples(
+                    &inputs,
+                    &DistanceCache::new(true),
+                    &mut StageClock::new(None),
+                )
+                .expect("shared path");
+
+            let own_pages: Vec<Page> = inputs
+                .iter()
+                .map(|(h, q)| Page::try_from_html_strict(h, *q, &cfg.budget).expect("ingest"))
+                .collect();
+            let cache = DistanceCache::new(true);
+            let own_sections = analyze_pages_cached(&own_pages, &cfg, &cache);
+            let own_groups =
+                crate::grouping::group_instances_cached(&own_pages, &own_sections, &cfg, &cache);
+            assert_eq!(own_sections, sections, "engine {engine_id}: sections");
+            assert_eq!(own_groups, groups, "engine {engine_id}: groups");
+            assert!(!groups.is_empty(), "engine {engine_id}: no group");
+            let wrappers = |pages: &[Page], sections: &[Vec<SectionInst>]| -> String {
+                let ws: Vec<SectionWrapper> = groups
+                    .iter()
+                    .filter_map(|g| build_wrapper(pages, sections, g))
+                    .collect();
+                serde_json::to_string(&ws).expect("serialize wrappers")
+            };
+            assert_eq!(
+                wrappers(&own_pages, &own_sections),
+                wrappers(&pages, &sections),
+                "engine {engine_id}: wrappers"
+            );
+        }
     }
 
     #[test]

@@ -319,11 +319,14 @@ mod tests {
         assert_eq!(resolve(Symbol(u32::MAX - 1)), None);
     }
 
+    // The interner is process-global and other tests in this binary intern
+    // names of their own on parallel threads, so these tests assert what
+    // each name maps to, never how many names the table holds.
+
     #[test]
     fn lookup_does_not_insert() {
-        let before = interned_count();
         assert_eq!(lookup("never-interned-lookup-only-tag"), None);
-        assert_eq!(interned_count(), before);
+        assert_eq!(lookup("never-interned-lookup-only-tag"), None);
         let sym = intern("now-interned-tag");
         assert_eq!(lookup("now-interned-tag"), Some(sym));
     }
@@ -372,10 +375,12 @@ mod tests {
         assert!(after.len() > before.len());
         assert_eq!(&after[..before.len()], &before[..], "append-only prefix");
         assert_eq!(after[sym.0 as usize], "snapshot-only-tag");
-        // Warming with an existing snapshot changes nothing.
-        let count = interned_count();
+        // Warming with an existing snapshot changes nothing: every name
+        // keeps the symbol of its snapshot index.
         warm(&after);
-        assert_eq!(interned_count(), count);
+        for (i, name) in after.iter().enumerate() {
+            assert_eq!(intern(name), Symbol(i as u32), "{name}");
+        }
         assert_eq!(intern("snapshot-only-tag"), sym);
     }
 

@@ -31,4 +31,4 @@ pub mod tables;
 
 pub use metrics::{score_page, PageScore, RecordCounts, SectionCounts};
 pub use runner::{run_corpus, score_engine, CorpusScore, EngineOutcome, EngineScore};
-pub use tables::{record_table, section_table, SectionRow};
+pub use tables::{record_table, section_table, PaperTables, RecordRow, SectionRow};

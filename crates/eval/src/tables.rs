@@ -1,9 +1,12 @@
-//! Paper-style table formatting (Tables 1–3).
+//! Paper-style table formatting (Tables 1–3), and the cells of all three
+//! as one comparable value ([`PaperTables`]).
 
 use crate::metrics::PageScore;
+use crate::runner::CorpusScore;
+use serde::{Deserialize, Serialize};
 
 /// One formatted section-table row ("S pgs" / "T pgs" / "Total").
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SectionRow {
     pub label: String,
     pub actual: usize,
@@ -62,6 +65,30 @@ pub fn section_table(title: &str, rows: &[(&str, PageScore)]) -> String {
     out
 }
 
+/// One formatted record-table row (paper Table 3).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct RecordRow {
+    pub label: String,
+    pub actual: usize,
+    pub extracted: usize,
+    pub correct: usize,
+    pub recall: f64,
+    pub precision: f64,
+}
+
+impl RecordRow {
+    pub fn from_score(label: &str, s: &PageScore) -> RecordRow {
+        RecordRow {
+            label: label.to_string(),
+            actual: s.records.actual,
+            extracted: s.records.extracted,
+            correct: s.records.correct,
+            recall: 100.0 * s.records.recall(),
+            precision: 100.0 * s.records.precision(),
+        }
+    }
+}
+
 /// Render a record-extraction table (paper Table 3 layout).
 pub fn record_table(title: &str, rows: &[(&str, PageScore)]) -> String {
     let mut out = String::new();
@@ -70,17 +97,62 @@ pub fn record_table(title: &str, rows: &[(&str, PageScore)]) -> String {
     out.push_str(&"-".repeat(60));
     out.push('\n');
     for (label, s) in rows {
+        let r = RecordRow::from_score(label, s);
         out.push_str(&format!(
             "{:<7} {:>7}  {:>10}  {:>8}  {:>7.1}  {:>10.1}\n",
-            label,
-            s.records.actual,
-            s.records.extracted,
-            s.records.correct,
-            100.0 * s.records.recall(),
-            100.0 * s.records.precision(),
+            r.label, r.actual, r.extracted, r.correct, r.recall, r.precision,
         ));
     }
     out
+}
+
+/// Every row of Tables 1–3 for one corpus run, plus the engines whose
+/// wrapper build failed. `results/paper_tables_2006.json` pins the
+/// seed-2006 corpus; `table1 --write FILE` regenerates it.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct PaperTables {
+    pub seed: u64,
+    pub engines: usize,
+    /// Table 1: section extraction, all engines.
+    pub table1: Vec<SectionRow>,
+    /// Table 2: section extraction, multi-section engines.
+    pub table2: Vec<SectionRow>,
+    /// Table 3: record extraction, all engines.
+    pub table3: Vec<RecordRow>,
+    pub failed_engines: Vec<usize>,
+}
+
+impl PaperTables {
+    pub fn from_score(seed: u64, score: &CorpusScore) -> PaperTables {
+        let labels = ["S pgs", "T pgs", "Total"];
+        let (s, t, total) = score.all();
+        let (ms, mt, mtotal) = score.multi_only();
+        let (all, multi) = ([s, t, total], [ms, mt, mtotal]);
+        let rows = |scores: &[PageScore; 3]| -> Vec<SectionRow> {
+            labels
+                .iter()
+                .zip(scores)
+                .map(|(l, s)| SectionRow::from_score(l, s))
+                .collect()
+        };
+        PaperTables {
+            seed,
+            engines: score.outcomes.len(),
+            table1: rows(&all),
+            table2: rows(&multi),
+            table3: labels
+                .iter()
+                .zip(&all)
+                .map(|(l, s)| RecordRow::from_score(l, s))
+                .collect(),
+            failed_engines: score
+                .outcomes
+                .iter()
+                .filter(|o| !o.built)
+                .map(|o| o.engine_id)
+                .collect(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -121,6 +193,26 @@ mod tests {
         let s = sample_score();
         assert!((100.0 * s.records.recall() - 98.7).abs() < 0.1);
         assert!((100.0 * s.records.precision() - 98.9).abs() < 0.1);
+    }
+
+    #[test]
+    fn paper_tables_hold_every_row() {
+        let s = sample_score();
+        let score = CorpusScore {
+            outcomes: vec![crate::runner::EngineOutcome {
+                engine_id: 7,
+                multi: false,
+                built: false,
+                score: crate::runner::EngineScore { sample: s, test: s },
+            }],
+        };
+        let t = PaperTables::from_score(2006, &score);
+        assert_eq!(t.failed_engines, vec![7]);
+        assert_eq!(t.table1[0], SectionRow::from_score("S pgs", &s));
+        assert_eq!(t.table1[2].actual, 2 * 1057);
+        assert!(t.table2.iter().all(|r| r.actual == 0));
+        assert!((t.table3[0].recall - 98.7).abs() < 0.1);
+        assert!((t.table3[0].precision - 98.9).abs() < 0.1);
     }
 
     #[test]

@@ -9,19 +9,20 @@ use mse_dom::{Dom, NodeId, NodeKind};
 /// represented with the pseudo-label `"#text"` so that a `<td>snippet</td>`
 /// and an empty `<td>` differ structurally (the paper's tag structures are
 /// what lies "underneath" viewable content, so the presence of content
-/// matters, its characters do not).
+/// matters, its characters do not). Labels borrow the DOM's interned tag
+/// names, so lifting a tree allocates no string.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TagTree {
     /// Nodes in the order they were built; `nodes[0]` is the root.
-    pub labels: Vec<String>,
+    pub labels: Vec<&'static str>,
     pub children: Vec<Vec<usize>>,
 }
 
 impl TagTree {
     /// Single-node tree.
-    pub fn leaf(label: impl Into<String>) -> TagTree {
+    pub fn leaf(label: &'static str) -> TagTree {
         TagTree {
-            labels: vec![label.into()],
+            labels: vec![label],
             children: vec![vec![]],
         }
     }
@@ -43,9 +44,9 @@ impl TagTree {
 
     fn build_capped(&mut self, dom: &Dom, node: NodeId, depth: usize) -> usize {
         let label = match &dom[node].kind {
-            NodeKind::Element { tag, .. } => tag.to_string(),
-            NodeKind::Text(_) => "#text".to_string(),
-            _ => "#doc".to_string(),
+            NodeKind::Element { tag, .. } => *tag,
+            NodeKind::Text(_) => "#text",
+            _ => "#doc",
         };
         let idx = self.labels.len();
         self.labels.push(label);
@@ -77,7 +78,7 @@ impl TagTree {
 
     /// Root label.
     pub fn root_label(&self) -> &str {
-        &self.labels[0]
+        self.labels[0]
     }
 }
 

@@ -10,7 +10,7 @@ use crate::tagtree::TagTree;
 /// Postorder view of a tree required by Zhang–Shasha.
 struct PostOrder {
     /// labels[i] = label of the node with postorder number i (0-based).
-    labels: Vec<String>,
+    labels: Vec<&'static str>,
     /// l[i] = postorder number of the leftmost leaf descendant of node i.
     lml: Vec<usize>,
     /// Keyroots in increasing postorder.
@@ -36,7 +36,7 @@ fn postorder(tree: &TagTree) -> PostOrder {
         } else {
             let num = labels.len();
             order[node] = num;
-            labels.push(tree.labels[node].clone());
+            labels.push(tree.labels[node]);
             let leftmost = if kids.is_empty() {
                 num
             } else {
@@ -137,7 +137,7 @@ mod tests {
                 *pos += 1;
             }
             let idx = tree.labels.len();
-            tree.labels.push(label);
+            tree.labels.push(mse_dom::intern_pair(&label).1);
             tree.children.push(vec![]);
             while chars[*pos] == '(' {
                 let c = rec(chars, pos, tree);
@@ -217,11 +217,11 @@ mod tests {
         (1usize..8).prop_flat_map(|n| {
             (
                 proptest::collection::vec(0usize..n.max(1), n.saturating_sub(1)),
-                proptest::collection::vec("[a-c]", n),
+                proptest::collection::vec(0usize..3, n),
             )
                 .prop_map(move |(parents, labels)| {
                     let mut tree = TagTree {
-                        labels,
+                        labels: labels.into_iter().map(|l| ["a", "b", "c"][l]).collect(),
                         children: vec![vec![]; n],
                     };
                     for (i, &p) in parents.iter().enumerate() {

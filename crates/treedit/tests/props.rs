@@ -25,7 +25,7 @@ fn tree_of(code: &[u8]) -> TagTree {
     for &c in &code[1..] {
         let parent = (c as usize / 8) % t.labels.len();
         let idx = t.labels.len();
-        t.labels.push(tags[c as usize % tags.len()].to_string());
+        t.labels.push(tags[c as usize % tags.len()]);
         t.children.push(Vec::new());
         t.children[parent].push(idx);
     }

@@ -3,7 +3,9 @@
 //! debris. 2006-era result pages were rarely valid HTML, and the paper's
 //! pipeline (like any browser-based one) has to shrug this off.
 
-use mse::core::{BuildError, Extraction, Mse, MseConfig, ResourceBudget, SectionWrapperSet};
+use mse::core::{
+    BuildError, Extraction, Mse, MseConfig, NoSectionsStage, ResourceBudget, SectionWrapperSet,
+};
 use mse::testbed::{Corpus, CorpusConfig};
 
 /// Deterministically rough up a page: drop some closing tags that the
@@ -171,12 +173,16 @@ fn build_on_degenerate_corpora_returns_typed_errors() {
         mse.build(&["<html></html>"]),
         Err(BuildError::TooFewPages(1))
     ));
-    assert!(matches!(mse.build(&["", ""]), Err(BuildError::NoSections)));
+    // Pages with no dynamic section leave grouping nothing to match.
+    let no_instances = Err(BuildError::NoSections {
+        stage: NoSectionsStage::Grouping,
+    });
+    assert_eq!(mse.build(&["", ""]).map(|_| ()), no_instances);
     let static_page = "<html><body><h1>About</h1><p>hello there</p></body></html>";
-    assert!(matches!(
-        mse.build(&[static_page, static_page]),
-        Err(BuildError::NoSections)
-    ));
+    assert_eq!(
+        mse.build(&[static_page, static_page]).map(|_| ()),
+        no_instances
+    );
 
     // A sample page that blows the input-size budget is a strict,
     // per-page failure.
@@ -206,6 +212,27 @@ fn build_on_degenerate_corpora_returns_typed_errors() {
         Mse::new(cfg).build(&refs),
         Err(BuildError::InvalidConfig(_))
     ));
+}
+
+/// A build that finds sections but learns no wrapper names the step that
+/// lost them. Engine 41 of the seed-2006 corpus (one of the three engines
+/// Table 1 lists as failed) analyses one section per sample page and
+/// groups them, but `build_wrapper` returns no wrapper for the group.
+#[test]
+fn failed_engine_reports_the_build_wrapper_stage() {
+    let corpus = Corpus::generate(CorpusConfig::default());
+    let samples = corpus.sample_pages(&corpus.engines[41]);
+    let refs: Vec<(&str, Option<&str>)> = samples
+        .iter()
+        .map(|p| (p.html.as_str(), Some(p.query.as_str())))
+        .collect();
+    let built = Mse::new(MseConfig::default()).build_with_queries(&refs);
+    assert_eq!(
+        built.map(|_| ()),
+        Err(BuildError::NoSections {
+            stage: NoSectionsStage::BuildWrapper
+        })
+    );
 }
 
 #[test]
